@@ -13,7 +13,11 @@ For one kernel spec this module runs the full soundness gauntlet:
    outputs and per-warp data-address streams;
 5. replay both traces through the timing simulator with the warp-dedup
    fast path on and off, requiring every integer field of
-   :class:`~repro.sim.timing.TimingResult` to agree.
+   :class:`~repro.sim.timing.TimingResult` to agree;
+6. run the original kernel through both fast functional engines
+   (extrapolator, megawarp) and the transformed kernel through the
+   megawarp, each in verify and committing modes, requiring serial
+   memory and replay-identical traces.
 
 Any step that crashes becomes a violation too — a launch-time
 ``OverflowError`` from an unwrapped coefficient is a soundness bug, not
@@ -281,48 +285,10 @@ def _check_spec(
     # Same contract as extrapolation, for the universal engine: verify
     # mode must be bit-identical to serial on every kernel (divergent
     # ones included), and the committing path must leave serial memory
-    # and a dedup-replay-identical trace.  Extrapolation is forced off
-    # so the megawarp takes regular kernels too instead of skipping
-    # with "extrapolated".
-    dev_v, args_v, _ = _prepare_device(spec, config)
-    launch_v = LaunchConfig(args=args_v, **launch_geom)
-    try:
-        FunctionalExecutor(
-            kernel, launch_v, dev_v.memory, extrapolate="0",
-            vector="verify",
-        ).run()
-    except VectorMismatch as exc:
-        vio.append(Violation("vector-mismatch", str(exc)))
-    except Exception as exc:  # noqa: BLE001
-        vio.append(
-            Violation("vector-run-crash", f"{type(exc).__name__}: {exc}")
-        )
-    else:
-        dev_w, args_w, _ = _prepare_device(spec, config)
-        launch_w = LaunchConfig(args=args_w, **launch_geom)
-        try:
-            trace_v = FunctionalExecutor(
-                kernel, launch_w, dev_w.memory, extrapolate="0",
-                vector="1",
-            ).run()
-        except Exception as exc:  # noqa: BLE001
-            vio.append(
-                Violation(
-                    "vector-run-crash", f"{type(exc).__name__}: {exc}"
-                )
-            )
-        else:
-            if not np.array_equal(dev_w.memory.buf, dev_a.memory.buf):
-                bad = np.flatnonzero(dev_w.memory.buf != dev_a.memory.buf)
-                vio.append(
-                    Violation(
-                        "vector-commit-mismatch",
-                        f"memory differs at {bad.size} byte(s), first "
-                        f"at address {int(bad[0])}",
-                    )
-                )
-            for kind, diff in _timing_engine_diffs(config, trace_v):
-                vio.append(Violation(kind, f"vectorized {diff}"))
+    # and a dedup-replay-identical trace.
+    vio.extend(_megawarp_violations(
+        spec, config, launch_geom, kernel, dev_a.memory.buf, "vector",
+    ))
 
     # --- transform + differential run ---------------------------------
     try:
@@ -406,11 +372,83 @@ def _check_spec(
         ):
             vio.append(Violation(kind, f"r2d2 {diff}"))
 
+        # the megawarp contract again, on the %lr/%cr stream (the probe
+        # executor above is gated out of the fast engines)
+        vio.extend(_megawarp_violations(
+            spec, config, launch_geom, rkernel.transformed,
+            dev_b.memory.buf, "transformed-vector", plan=rkernel.plan,
+            policy=policy,
+            regs_per_thread=rkernel.register_usage.original_regs_per_thread,
+        ))
+
     # fast-engine / reference timing equality on the original trace
     for kind, diff in _timing_engine_diffs(config, trace_a):
         vio.append(Violation(kind, f"baseline {diff}"))
 
     return report
+
+
+def _megawarp_violations(
+    spec: Dict,
+    config: GPUConfig,
+    launch_geom: Dict,
+    kernel: Kernel,
+    reference: np.ndarray,
+    prefix: str,
+    plan=None,
+    policy=None,
+    regs_per_thread: Optional[int] = None,
+) -> List[Violation]:
+    """Run ``kernel`` on fresh devices through the megawarp engine —
+    ``verify`` mode (bit-identical to serial, else ``<prefix>-mismatch``),
+    then the committing path, whose memory must equal ``reference``
+    (``<prefix>-commit-mismatch``) and whose trace must replay
+    identically through every timing engine.  Crashes are
+    ``<prefix>-run-crash``.  Extrapolation is forced off so the megawarp
+    takes regular kernels too; ``plan`` supplies the R2D2 values of a
+    transformed kernel."""
+
+    def run(mode: str):
+        dev, args, _ = _prepare_device(spec, config)
+        launch = LaunchConfig(args=args, **launch_geom)
+        values = None if plan is None else R2D2Values(plan, launch)
+        trace = FunctionalExecutor(
+            kernel, launch, dev.memory, linear_values=values,
+            extrapolate="0", vector=mode,
+        ).run()
+        return dev, trace
+
+    def crash(exc: Exception) -> List[Violation]:
+        return [
+            Violation(f"{prefix}-run-crash", f"{type(exc).__name__}: {exc}")
+        ]
+
+    try:
+        run("verify")
+    except VectorMismatch as exc:
+        return [Violation(f"{prefix}-mismatch", str(exc))]
+    except Exception as exc:  # noqa: BLE001
+        return crash(exc)
+    try:
+        dev, trace = run("1")
+    except Exception as exc:  # noqa: BLE001
+        return crash(exc)
+    vio: List[Violation] = []
+    if not np.array_equal(dev.memory.buf, reference):
+        bad = np.flatnonzero(dev.memory.buf != reference)
+        vio.append(
+            Violation(
+                f"{prefix}-commit-mismatch",
+                f"memory differs at {bad.size} byte(s), first at address "
+                f"{int(bad[0])}",
+            )
+        )
+    label = "vectorized" if plan is None else "r2d2 vectorized"
+    for kind, diff in _timing_engine_diffs(
+        config, trace, policy=policy, regs_per_thread=regs_per_thread
+    ):
+        vio.append(Violation(kind, f"{label} {diff}"))
+    return vio
 
 
 def _first_divergence(a: List, b: List) -> int:

@@ -16,7 +16,7 @@ tests enforce it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +57,17 @@ class LinearValueProvider(Protocol):
 
     def lr_lane_values(self, lr_id: int, warp: "WarpContext") -> np.ndarray:
         """Per-lane value of linear register ``lr_id``."""
+
+    def lr_block_values(
+        self,
+        lr_id: int,
+        warps: Sequence["WarpContext"],
+        blocks: Sequence[Tuple[int, int, int]],
+    ) -> np.ndarray:
+        """``lr_lane_values`` for warp-in-block ``w`` (lanes from
+        ``warps[w]``) of every block in ``blocks``, as one block-major
+        ``(len(blocks) * len(warps), 32)`` matrix (the megawarp's
+        batched form)."""
 
     def cr_value(self, cr_id: int) -> int:
         """Kernel-uniform value of coefficient register ``cr_id``."""

@@ -857,12 +857,14 @@ def attempt_extrapolation(host: FunctionalExecutor,
         return 0
 
     if mode == "verify":
-        host._pending_verify = (fork, blocks)
+        # the serial run may touch bytes past the fork's extent; keep
+        # them as they are now so the epilogue compares the full image
+        host._pending_verify = (
+            fork, host.memory.tail_snapshot(fork.size), blocks
+        )
         return 0
 
-    # Commit: in-place so existing dtype views over the buffer stay
-    # valid, then adopt the synthesized traces.
-    host.memory.buf[:] = fork.buf
+    host.memory.commit(fork)
     trace.blocks.extend(blocks)
     report.blocks_extrapolated = len(blocks)
     obs.inc(
@@ -892,14 +894,11 @@ def verify_against(host: FunctionalExecutor, trace: KernelTrace) -> None:
     if pending is None:
         return
     host._pending_verify = None
-    fork, blocks = pending
+    fork, tail, blocks = pending
     diffs = _trace_diffs(blocks, trace.blocks)
-    if not np.array_equal(fork.buf, host.memory.buf):
-        bad = np.flatnonzero(fork.buf != host.memory.buf)
-        diffs.append(
-            f"global memory differs at {bad.size} byte(s), first at "
-            f"address {int(bad[0])}"
-        )
+    mismatch = host.memory.fork_mismatch(fork, tail)
+    if mismatch:
+        diffs.append(mismatch)
     if diffs:
         raise ExtrapolationMismatch(
             f"extrapolated launch of {host.kernel.name} diverges from "

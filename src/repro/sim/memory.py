@@ -19,6 +19,10 @@ _NP_DTYPES = {
 }
 
 
+#: Granularity of :attr:`GlobalMemory.extent`.
+FORK_PAGE_BYTES = 4096
+
+
 class MemoryError_(Exception):
     """Out-of-bounds or misaligned device memory access."""
 
@@ -45,21 +49,64 @@ class ByteSpace:
             self._views[dtype] = view
         return view
 
+    @property
+    def extent(self) -> int:
+        """How many leading bytes a :meth:`fork` copies: all of them."""
+        return self.size
+
     def fork(self) -> "ByteSpace":
-        """An independent copy sharing geometry but not contents.
+        """An independent copy of the first :attr:`extent` bytes.
 
         The dtype view cache starts empty — cached views alias ``buf``
         and must never leak across the fork boundary.  Speculative
-        execution (block-trace extrapolation) runs against a fork and
-        either commits it back with ``buf[:] = fork.buf`` (in place, so
-        the original's views stay valid) or discards it.
+        execution (block-trace extrapolation, the megawarp) runs against
+        a fork and either commits it back with :meth:`commit` or
+        discards it.  Any access past a short fork's end raises
+        :class:`MemoryError_`, which those engines treat as a bail.
         """
+        nbytes = self.extent
         twin = ByteSpace.__new__(ByteSpace)
-        twin.size = self.size
+        twin.size = nbytes
         twin.base = self.base
-        twin.buf = self.buf.copy()
+        twin.buf = self.buf[:nbytes].copy()
         twin._views = {}
         return twin
+
+    def commit(self, fork: "ByteSpace") -> None:
+        """Adopt a fork's contents — in place, so existing dtype views
+        over ``buf`` stay valid.  Bytes past the fork's end are left
+        untouched (a committed fork never accessed them)."""
+        self.buf[:fork.size] = fork.buf
+
+    def tail_snapshot(self, start: int) -> Optional[np.ndarray]:
+        """The bytes from ``start`` on, for a later :meth:`fork_mismatch`
+        against a fork of the first ``start`` bytes.  ``None`` stands
+        for all-zero — the usual case, nothing past the allocation
+        high-water mark was ever written — which costs a scan instead
+        of a copy."""
+        tail = self.buf[start:]
+        return tail.copy() if tail.any() else None
+
+    def fork_mismatch(self, fork: "ByteSpace",
+                      tail: Optional[np.ndarray]) -> Optional[str]:
+        """Compare this space after a serial run against a speculative
+        ``fork`` plus the :meth:`tail_snapshot` taken with it; describes
+        the differences, or returns None when the images are equal."""
+        n = fork.size
+        head = self.buf[:n]
+        rest = self.buf[n:]
+        if np.array_equal(fork.buf, head) and (
+            not rest.any() if tail is None else np.array_equal(tail, rest)
+        ):
+            return None
+        changed = rest if tail is None else tail != rest
+        bad = np.concatenate([
+            np.flatnonzero(fork.buf != head), np.flatnonzero(changed) + n,
+        ])
+        return (
+            f"global memory differs at {bad.size} byte(s), first at "
+            f"address {int(bad[0])}"
+        )
 
     # ------------------------------------------------------------------
     def _check(self, addrs: np.ndarray, itemsize: int) -> None:
@@ -129,6 +176,20 @@ class GlobalMemory(ByteSpace):
     def __init__(self, size_bytes: int = 64 * 1024 * 1024) -> None:
         super().__init__(size_bytes)
         self._next = self.base
+
+    @property
+    def extent(self) -> int:
+        """Bytes below the allocation high-water mark, rounded up to a
+        page (capped at the device size): all a :meth:`fork` copies.
+
+        Copying the whole device buffer would touch every page of it
+        (and committing would write every page back), so each
+        speculative launch would cost the full device size in resident
+        memory.  A kernel that accesses past the extent — legal
+        serially, if unusual — faults inside the fork and the engine
+        bails to serial, which reproduces the exact behaviour."""
+        pages = -(-self._next // FORK_PAGE_BYTES)
+        return min(self.size, pages * FORK_PAGE_BYTES)
 
     def alloc(self, nbytes: int, align: int = 256) -> int:
         """Allocate ``nbytes`` and return the device byte address."""

@@ -21,7 +21,8 @@ arbitrary control flow:
    drops a warp from the schedulable set until its block's arrival
    count completes; shared memory is a flat arena of per-block
    segments; atomics serialize in flattened block-major/warp-major
-   lane order.
+   lane order.  R2D2-transformed launches resolve ``%cr`` to the
+   provider's scalar and ``%lr`` to a ``(W, 32)`` matrix per chunk.
 
 2. **Soundness net.**  The serial executor orders memory effects:
    blocks in order, warps of a block round-robin between barriers.
@@ -61,7 +62,16 @@ import numpy as np
 from .. import obs
 from ..isa.instruction import Instruction
 from ..isa.opcodes import DType, Opcode
-from ..isa.operands import Imm, MemRef, ParamRef, Reg, SpecialReg
+from ..isa.operands import (
+    CoeffRegOperand,
+    Imm,
+    LinearRef,
+    LinearRegOperand,
+    MemRef,
+    ParamRef,
+    Reg,
+    SpecialReg,
+)
 from .executor import (
     ExecutionError,
     FunctionalExecutor,
@@ -113,10 +123,10 @@ class VectorReport:
     kernel: str
     mode: str
     engaged: bool
-    #: Skip/bail slug ("extrapolated", "disabled", "transformed-kernel",
-    #: "launch-too-small", "cross-warp-memory-conflict", "deadlock",
-    #: "hazard-log-overflow", "register-dtype-promotion", ...); empty
-    #: when the launch vectorized cleanly.
+    #: Skip/bail slug ("extrapolated", "disabled", "launch-too-small",
+    #: "cross-warp-memory-conflict", "deadlock", "hazard-log-overflow",
+    #: "register-dtype-promotion", ...); empty when the launch
+    #: vectorized cleanly.
     reason: str = ""
     detail: str = ""
     warps_total: int = 0
@@ -241,7 +251,7 @@ class _MegaWarpEngine(FunctionalExecutor):
         self.kernel = host.kernel
         self.launch = host.launch
         self.memory = memory
-        self.linear_values = None
+        self.linear_values = host.linear_values
         self.collect_trace = host.collect_trace
         self.max_warp_instructions = host.max_warp_instructions
         self.line_bytes = host.line_bytes
@@ -291,6 +301,10 @@ class _MegaWarpEngine(FunctionalExecutor):
         }
         self._blockrow = np.arange(self.W, dtype=np.int64) // wpb
         self._gwarp = ids * wpb + np.arange(self.W, dtype=np.int64) % wpb
+        # R2D2-transformed launches: %lr values as (W, 32) matrices,
+        # built on first use (lanes of warp-in-block w from tid_rows[w])
+        self._tid_rows = tid_rows
+        self._lr_mats: Dict[int, np.ndarray] = {}
 
         # -- register file: name -> (W, 32) matrix ---------------------
         self._regs: Dict[str, np.ndarray] = {}
@@ -628,17 +642,47 @@ class _MegaWarpEngine(FunctionalExecutor):
                 SpecialReg.NCTAID_Z: grid.z,
             }
             return mapping[op]
+        if isinstance(op, CoeffRegOperand):
+            return self._provider().cr_value(op.cr_id)
+        if isinstance(op, LinearRegOperand):
+            values = self._lr_matrix(op.lr_id)[rows]
+            offset = self._linear_disp(op)
+            if offset:
+                values = values + offset
+            return values
         raise _VBail("unsupported-operand", repr(op))
+
+    def _linear_disp(self, op) -> int:
+        """``disp`` plus the optional ``%cr`` delta of a linear operand,
+        summed in Python ints exactly as ``FunctionalExecutor`` does."""
+        disp = op.disp
+        if op.cr_id is not None:
+            disp = disp + self._provider().cr_value(op.cr_id)
+        return disp
+
+    def _lr_matrix(self, lr_id: int) -> np.ndarray:
+        """``(W, 32)`` values of linear register ``lr_id``, built once
+        per chunk."""
+        mat = self._lr_mats.get(lr_id)
+        if mat is None:
+            grid = self.launch.grid
+            mat = self._provider().lr_block_values(
+                lr_id, self._tid_rows,
+                [grid.linear_to_xyz(self.lo + b) for b in range(self.nblocks)],
+            )
+            self._lr_mats[lr_id] = mat
+        return mat
 
     # -- memory instructions -------------------------------------------
     def _addr_matrix(self, op: object, rows: np.ndarray) -> np.ndarray:
+        if isinstance(op, LinearRef):
+            disp = self._linear_disp(op)
+            if op.lr_id is None:
+                return np.full((rows.size, WARP_SIZE), disp, dtype=np.int64)
+            return self._lr_matrix(op.lr_id)[rows] + disp
         if not isinstance(op, MemRef):
-            raise _VBail(
-                "linear-ref-operand", f"non-register memory operand {op!r}"
-            )
-        base = self._read(op.base, rows)
-        addrs = base + op.disp
-        return addrs
+            raise _VBail("unsupported-operand", f"memory operand {op!r}")
+        return self._read(op.base, rows) + op.disp
 
     def _shared_flat(self, pc: int, addrs: np.ndarray, rows: np.ndarray,
                      active: np.ndarray, itemsize: int) -> np.ndarray:
@@ -1002,11 +1046,6 @@ def attempt_vectorization(host: FunctionalExecutor, trace: KernelTrace,
         report.detail = "extrapolation verify pass owns this launch"
         _engine_skip(report)
         return 0
-    if host.linear_values is not None:
-        report.reason = "transformed-kernel"
-        report.detail = "R2D2-transformed launches replay %lr/%cr state"
-        _engine_skip(report)
-        return 0
     min_warps = 1 if mode == "verify" else MIN_WARPS
     if total_warps < min_warps:
         report.reason = "launch-too-small"
@@ -1065,12 +1104,14 @@ def attempt_vectorization(host: FunctionalExecutor, trace: KernelTrace,
     _emit_counters(host.kernel.name, counters)
     report.engaged = True
     if mode == "verify":
-        host._pending_vector_verify = (fork, blocks)
+        # the serial run may touch bytes past the fork's extent; keep
+        # them as they are now so the epilogue compares the full image
+        host._pending_vector_verify = (
+            fork, host.memory.tail_snapshot(fork.size), blocks
+        )
         return 0
 
-    # Commit: in-place so existing dtype views over the buffer stay
-    # valid, then adopt the megawarp traces.
-    host.memory.buf[:] = fork.buf
+    host.memory.commit(fork)
     trace.blocks.extend(blocks)
     report.warps_vectorized = total_warps
     obs.inc(
@@ -1106,14 +1147,11 @@ def verify_vectorization(host: FunctionalExecutor,
     if pending is None:
         return
     host._pending_vector_verify = None
-    fork, blocks = pending
+    fork, tail, blocks = pending
     diffs = _trace_diffs(blocks, trace.blocks)
-    if not np.array_equal(fork.buf, host.memory.buf):
-        bad = np.flatnonzero(fork.buf != host.memory.buf)
-        diffs.append(
-            f"global memory differs at {bad.size} byte(s), first at "
-            f"address {int(bad[0])}"
-        )
+    mismatch = host.memory.fork_mismatch(fork, tail)
+    if mismatch:
+        diffs.append(mismatch)
     if diffs:
         raise VectorMismatch(
             f"megawarp launch of {host.kernel.name} diverges from "

@@ -9,7 +9,7 @@ computes; the timing model charges for the instructions separately).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -159,3 +159,24 @@ class R2D2Values:
         if entry.tr_id is None:
             return np.full(32, br, dtype=np.int64)
         return self.tr_lane_values(entry.tr_id, warp) + br
+
+    def lr_block_values(
+        self,
+        lr_id: int,
+        warps: Sequence[WarpContext],
+        blocks: Sequence[Tuple[int, int, int]],
+    ) -> np.ndarray:
+        """:meth:`lr_lane_values` of every warp of every block at once:
+        a block-major ``(len(blocks) * len(warps), 32)`` matrix, where
+        ``warps[w]`` supplies the lanes of warp-in-block ``w`` (its
+        block is ignored).  Same int64 wrapping sums, row for row."""
+        entry = self.plan.entries[lr_id]
+        br = np.fromiter(
+            (self.br_value(lr_id, xyz) for xyz in blocks),
+            dtype=np.int64, count=len(blocks),
+        )
+        br = np.repeat(br, len(warps)).reshape(-1, 1)
+        if entry.tr_id is None:
+            return np.repeat(br, 32, axis=1)
+        tr = np.stack([self.tr_lane_values(entry.tr_id, w) for w in warps])
+        return np.tile(tr, (len(blocks), 1)) + br

@@ -120,3 +120,60 @@ class TestSharedMemory:
     def test_minimum_size(self):
         shared = SharedMemory(0)
         assert shared.size >= 16
+
+
+class TestExtentFork:
+    """Speculative engines fork only the allocated extent of global
+    memory; see docs/PERFORMANCE.md section 1."""
+
+    def test_fork_covers_page_rounded_extent(self):
+        mem = GlobalMemory(1 << 20)
+        mem.alloc(5000)             # high-water mark 256 + 5000
+        assert mem.extent == 8192
+        fork = mem.fork()
+        assert fork.buf.nbytes == fork.size == 8192
+
+    def test_extent_capped_at_device_size(self):
+        mem = GlobalMemory(6000)
+        mem.alloc(5000)
+        assert mem.extent == 6000
+
+    def test_access_past_extent_faults_in_fork_only(self):
+        mem = GlobalMemory(1 << 20)
+        mem.alloc(64)
+        past = np.array([mem.extent + 64])
+        mem.scatter(past, np.array([5]), DType.S32)   # legal serially
+        with pytest.raises(MemoryError_):
+            mem.fork().gather(past, DType.S32)
+
+    def test_commit_leaves_bytes_past_extent_untouched(self):
+        mem = GlobalMemory(1 << 20)
+        addr = mem.alloc_array(np.arange(16, dtype=np.int32))
+        tail_addr = mem.extent + 128
+        mem.write_bytes(tail_addr, np.array([77, 78], dtype=np.int32))
+        fork = mem.fork()
+        fork.scatter(np.array([addr]), np.array([-1]), DType.S32)
+        mem.commit(fork)
+        assert mem.read_array(addr, 2, np.int32).tolist() == [-1, 1]
+        assert mem.read_array(tail_addr, 2, np.int32).tolist() == [77, 78]
+
+    @pytest.mark.parametrize("dirty_tail", [False, True])
+    def test_fork_mismatch_sees_head_and_tail(self, dirty_tail):
+        mem = GlobalMemory(1 << 20)
+        addr = mem.alloc_array(np.arange(16, dtype=np.int32))
+        n = mem.extent
+        if dirty_tail:
+            mem.write_bytes(n + 8, np.array([3], dtype=np.int32))
+        fork = mem.fork()
+        tail = mem.tail_snapshot(fork.size)
+        assert (tail is None) is not dirty_tail
+        assert mem.fork_mismatch(fork, tail) is None
+        mem.buf[n + 40] ^= 1
+        assert "first at address %d" % (n + 40) in mem.fork_mismatch(
+            fork, tail
+        )
+        mem.buf[n + 40] ^= 1
+        mem.buf[addr] ^= 1
+        assert "first at address %d" % addr in mem.fork_mismatch(
+            fork, tail
+        )
