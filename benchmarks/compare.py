@@ -16,13 +16,14 @@ Two independent checks, both of which must pass:
    so CI sets a looser threshold via ``--threshold`` / the
    ``BENCH_COMPARE_THRESHOLD`` env var; the committed baseline gates
    like-for-like reruns on a developer machine.
-2. **Dedup speedup ratio** — when the current run contains both
-   ``test_timing_replay_throughput`` (dedup on) and
-   ``test_timing_replay_reference_throughput`` (dedup off), the fast
-   path must be at least ``--min-dedup-speedup`` (default 3.0) times
-   faster.  This is a same-machine, same-run ratio, so it is meaningful
-   on any hardware and enforces the repo's headline acceptance
-   criterion.
+2. **Timing replay speedup ratio** — when the current run contains
+   both ``test_timing_replay_throughput`` (the default timing engine:
+   event-driven with SM cloning) and
+   ``test_timing_replay_reference_throughput`` (the reference loop),
+   the default engine must be at least ``--min-replay-speedup``
+   (default 3.0) times faster.  This is a same-machine, same-run
+   ratio, so it is meaningful on any hardware and enforces the repo's
+   headline acceptance criterion.
 3. **Extrapolation speedup** — every ``test_<stem>_extrapolate_on`` /
    ``_off`` pair in the current run must show at least
    ``--min-extrapolate-speedup`` (default 5.0,
@@ -80,7 +81,7 @@ import os
 import sys
 from typing import Dict, Optional
 
-DEDUP_BENCH = "test_timing_replay_throughput"
+REPLAY_BENCH = "test_timing_replay_throughput"
 REFERENCE_BENCH = "test_timing_replay_reference_throughput"
 EXTRAPOLATE_ON_SUFFIX = "_extrapolate_on"
 EXTRAPOLATE_OFF_SUFFIX = "_extrapolate_off"
@@ -233,8 +234,9 @@ def main(argv: Optional[list] = None) -> int:
              "fail when >25%% slower; $BENCH_COMPARE_THRESHOLD overrides)",
     )
     parser.add_argument(
-        "--min-dedup-speedup", type=float, default=3.0,
-        help="required dedup-vs-reference replay speedup (default: 3.0)",
+        "--min-replay-speedup", type=float, default=3.0,
+        help="required default-engine-vs-reference timing replay "
+             "speedup (default: 3.0)",
     )
     parser.add_argument(
         "--min-extrapolate-speedup",
@@ -389,13 +391,13 @@ def main(argv: Optional[list] = None) -> int:
     for name in sorted(set(current) - set(baseline)):
         print(f"{'new':>10}  {name}: {current[name] * 1e3:.3f} ms")
 
-    # -- check 2: dedup speedup ratio (same machine, same run) ----------
-    if DEDUP_BENCH in current and REFERENCE_BENCH in current:
-        speedup = current[REFERENCE_BENCH] / current[DEDUP_BENCH]
-        ok = speedup >= args.min_dedup_speedup
+    # -- check 2: timing replay speedup ratio (same machine, same run) --
+    if REPLAY_BENCH in current and REFERENCE_BENCH in current:
+        speedup = current[REFERENCE_BENCH] / current[REPLAY_BENCH]
+        ok = speedup >= args.min_replay_speedup
         print(
-            f"{'ok' if ok else 'REGRESSION':>10}  dedup replay speedup:"
-            f" {speedup:.2f}x (required >= {args.min_dedup_speedup:.1f}x)"
+            f"{'ok' if ok else 'REGRESSION':>10}  timing replay speedup:"
+            f" {speedup:.2f}x (required >= {args.min_replay_speedup:.1f}x)"
         )
         failed = failed or not ok
 

@@ -1,7 +1,7 @@
 """Raw-performance benchmarks of the simulator substrate itself
 (pytest-benchmark timings, no paper claims): functional execution,
-timing replay (dedup fast path and reference engine), and the R2D2
-transform.
+timing replay (default event-driven engine and reference loop), and
+the R2D2 transform.
 
 Run with ``--benchmark-json=BENCH_sim.json`` to produce the
 machine-readable artifact consumed by ``benchmarks/compare.py`` (see
@@ -106,23 +106,20 @@ def test_functional_execution_throughput_divergent(benchmark):
 
 
 def test_timing_replay_throughput(benchmark):
-    """The production configuration: warp-dedup fast path enabled."""
+    """The production configuration: the default timing engine
+    (event-driven, with SM cloning under GTO)."""
     trace = _vadd_trace()
-    result = benchmark(
-        lambda: TimingSimulator(tiny(), trace, dedup=True).run()
-    )
+    result = benchmark(lambda: TimingSimulator(tiny(), trace).run())
     assert result.cycles > 0
 
 
 def test_timing_replay_reference_throughput(benchmark):
-    """The record-by-record reference engine (dedup off, event-driven
-    engine off).  Kept as a benchmark so ``compare.py`` can assert the
-    dedup speedup ratio machine-independently."""
+    """The record-by-record reference loop.  Kept as a benchmark so
+    ``compare.py`` can assert the default engine's speedup ratio
+    machine-independently."""
     trace = _vadd_trace()
     result = benchmark(
-        lambda: TimingSimulator(
-            tiny(), trace, dedup=False, timing="reference"
-        ).run()
+        lambda: TimingSimulator(tiny(), trace, timing="reference").run()
     )
     assert result.cycles > 0
 
@@ -131,10 +128,8 @@ def test_timing_replay_engines_agree():
     """Not a timing benchmark: the two engines above must produce
     identical cycle counts on the benchmarked trace."""
     trace = _vadd_trace()
-    fast = TimingSimulator(tiny(), trace, dedup=True).run()
-    ref = TimingSimulator(
-        tiny(), trace, dedup=False, timing="reference"
-    ).run()
+    fast = TimingSimulator(tiny(), trace).run()
+    ref = TimingSimulator(tiny(), trace, timing="reference").run()
     assert fast.cycles == ref.cycles
     assert fast.issued_total == ref.issued_total
 
@@ -354,7 +349,7 @@ def test_dyntrip_timing_on(benchmark):
     trace = _dyntrip_timing_trace()
     result = benchmark.pedantic(
         lambda: TimingSimulator(
-            _TIMING_CFG, trace, dedup=False, timing="fast"
+            _TIMING_CFG, trace, timing="fast"
         ).run(),
         rounds=3,
     )
@@ -365,7 +360,7 @@ def test_dyntrip_timing_off(benchmark):
     trace = _dyntrip_timing_trace()
     result = benchmark.pedantic(
         lambda: TimingSimulator(
-            _TIMING_CFG, trace, dedup=False, timing="reference"
+            _TIMING_CFG, trace, timing="reference"
         ).run(),
         rounds=3,
     )
@@ -379,7 +374,7 @@ def test_timing_fast_engine_agrees():
     (raises ``TimingVerifyMismatch`` otherwise)."""
     trace = _dyntrip_timing_trace()
     result = TimingSimulator(
-        _TIMING_CFG, trace, dedup=False, timing="verify"
+        _TIMING_CFG, trace, timing="verify"
     ).run()
     assert result.cycles > 0
 

@@ -13,7 +13,7 @@ one workload the report combines
   uses, so the reported instruction reduction is *exactly* the Fig-12
   cell for this workload;
 - **the unified decision trace** — analyzer demotions, engine
-  skip/bail/engage outcomes, dedup opt-outs, cache hits/misses.
+  skip/bail/engage outcomes, SM-clone opt-outs, cache hits/misses.
 
 Output shapes: a terminal report (:func:`render_text`), a JSON document
 (:func:`build_explanation`; schema documented in docs/OBSERVABILITY.md)

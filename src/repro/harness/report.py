@@ -141,12 +141,12 @@ def obs_phase_table(snapshot: Dict[str, object]) -> Table:
 
 
 def obs_kernel_table(snapshot: Dict[str, object]) -> Table:
-    """Per-kernel fast-path counters (timing-engine mix, dedup replay,
+    """Per-kernel fast-path counters (timing-engine mix, SM cloning,
     block-trace extrapolation, megawarp vectorization) from a
     snapshot's flattened counter keys.
 
-    The ``timing`` column renders the engine mix per kernel (``dedup``,
-    ``fast``, ``reference``, ``verify``), with dedup decline reasons in
+    The ``timing`` column renders the engine mix per kernel (``fast``,
+    ``reference``, ``verify``), with SM-clone decline reasons in
     brackets, e.g. ``fast x4 [scheduler-rr x4]``."""
     from ..obs import parse_key
 

@@ -11,9 +11,10 @@ For one kernel spec this module runs the full soundness gauntlet:
    launch-time values, probe-execute the *transformed* kernel on an
    identically prepared second device, and require bit-identical memory
    outputs and per-warp data-address streams;
-5. replay both traces through the timing simulator with the warp-dedup
-   fast path on and off, requiring every integer field of
-   :class:`~repro.sim.timing.TimingResult` to agree;
+5. replay both traces through the reference timing loop and the
+   event-driven engine, with SM cloning off (every field of
+   :class:`~repro.sim.timing.TimingResult`, energy included) and on
+   (every integer field and cache stat);
 6. run the original kernel through both fast functional engines
    (extrapolator, megawarp) and the transformed kernel through the
    megawarp, each in verify and committing modes, requiring serial
@@ -44,7 +45,6 @@ from ..sim.gpu import Device
 from ..sim.timing import (
     TimingResult,
     TimingSimulator,
-    TimingVerifyMismatch,
     timing_differences,
 )
 from ..transform.decouple import r2d2_transform
@@ -57,7 +57,7 @@ from .invariants import (
 )
 from .kernelgen import build_kernel
 
-#: TimingResult fields that must match exactly between dedup on/off.
+#: TimingResult fields that must match exactly with SM cloning on.
 TIMING_INT_FIELDS = (
     "cycles",
     "issued_simd",
@@ -121,43 +121,34 @@ def _timing_engine_diffs(
     policy=None,
     regs_per_thread: Optional[int] = None,
 ) -> List[Tuple[str, str]]:
-    """Differential check of both fast timing engines against the
-    reference loop, as ``(violation-kind, detail)`` pairs: warp-dedup
-    (integer fields + cache stats; cloned-SM energy is ULP-inexact by
-    contract) and the event-driven engine (every field, energy floats
-    included — the ``R2D2_TIMING=verify`` contract)."""
+    """Differential check of the event-driven engine against the
+    reference loop, as ``(violation-kind, detail)`` pairs: with SM
+    cloning off on every field, energy floats included (the
+    ``R2D2_TIMING=verify`` contract), and with cloning on — the default
+    run — on integer fields and cache stats (a cloned SM's energy is
+    ULP-inexact by contract)."""
     kwargs = dict(policy=policy, regs_per_thread=regs_per_thread)
-    try:
-        ref = TimingSimulator(
-            config, trace, dedup=False, timing="reference", **kwargs
-        ).run()
-        on = TimingSimulator(
-            config, trace, dedup=True, timing="reference", **kwargs
-        ).run()
-        fast = TimingSimulator(
-            config, trace, dedup=False, timing="fast", **kwargs
-        ).run()
-    except TimingVerifyMismatch as exc:
-        return [("timing-fast-mismatch", f"verify: {d}") for d in exc.diffs]
-    diffs: List[Tuple[str, str]] = []
+    ref = TimingSimulator(config, trace, timing="reference", **kwargs).run()
+    exact = TimingSimulator(config, trace, **kwargs).run_fast(clone=False)
+    cloned = TimingSimulator(config, trace, timing="fast", **kwargs).run()
+    diffs: List[Tuple[str, str]] = [
+        ("timing-fast-mismatch", d)
+        for d in timing_differences(exact, ref)
+    ]
     for name in TIMING_INT_FIELDS:
-        a, b = getattr(on, name), getattr(ref, name)
+        a, b = getattr(cloned, name), getattr(ref, name)
         if a != b:
             diffs.append(
-                ("timing-dedup-mismatch", f"{name}: dedup={a} replay={b}")
+                ("timing-clone-mismatch", f"{name}: clone={a} replay={b}")
             )
     for cache in ("l1", "l2"):
-        a, b = getattr(on, cache), getattr(ref, cache)
+        a, b = getattr(cloned, cache), getattr(ref, cache)
         if (a.accesses, a.hits) != (b.accesses, b.hits):
             diffs.append((
-                "timing-dedup-mismatch",
-                f"{cache}: dedup=({a.accesses},{a.hits}) "
+                "timing-clone-mismatch",
+                f"{cache}: clone=({a.accesses},{a.hits}) "
                 f"replay=({b.accesses},{b.hits})",
             ))
-    diffs.extend(
-        ("timing-fast-mismatch", d)
-        for d in timing_differences(fast, ref)
-    )
     return diffs
 
 
@@ -239,7 +230,7 @@ def _check_spec(
     # verify mode: batched execution must be bit-identical to serial
     # (trace records + memory); then the committing path ("1") must
     # leave the same memory as the serial run above, and its synthesized
-    # trace must replay identically through dedup on/off.
+    # trace must replay identically through every timing engine.
     dev_x, args_x, _ = _prepare_device(spec, config)
     launch_x = LaunchConfig(args=args_x, **launch_geom)
     try:
@@ -285,7 +276,7 @@ def _check_spec(
     # Same contract as extrapolation, for the universal engine: verify
     # mode must be bit-identical to serial on every kernel (divergent
     # ones included), and the committing path must leave serial memory
-    # and a dedup-replay-identical trace.
+    # and a trace that replays identically through every timing engine.
     vio.extend(_megawarp_violations(
         spec, config, launch_geom, kernel, dev_a.memory.buf, "vector",
     ))
@@ -363,7 +354,7 @@ def _check_spec(
                 )
 
         # fast-engine / reference timing equality on the transformed
-        # trace (dedup and event-driven, R2D2 issue plans included)
+        # trace (with and without SM cloning, R2D2 issue plans included)
         counts = R2D2Arch().linear_phase_counts(rkernel, launch_b, config)
         policy = _R2D2Policy(rkernel, counts, config)
         for kind, diff in _timing_engine_diffs(

@@ -116,8 +116,8 @@ class Cache:
             ways.clear()
 
     # ------------------------------------------------------------------
-    # Snapshot support (used by the warp-dedup engine to roll back probe
-    # accesses when an SM-clone attempt turns out not to be exact).
+    # Snapshot support (used by the timing engine's SM cloning to roll
+    # back probe accesses when a clone attempt turns out not to be exact).
     # ------------------------------------------------------------------
     def snapshot(self) -> tuple:
         """Capture the full replacement state and statistics."""

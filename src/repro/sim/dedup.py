@@ -1,56 +1,31 @@
-"""Warp-dedup fast path for :class:`~repro.sim.timing.TimingSimulator`.
+"""Warp-signature tables for the event-driven timing engine.
 
 The timing model replays every warp of every thread block record by
 record, yet — exactly the redundancy R2D2 itself exploits — most warps
 of a regular kernel execute *issue-equivalent* streams: the same static
 instructions with the same active-lane counts, coalescing degree,
 bank-conflict profile, and issue-plan modes, differing only in which
-memory lines they touch.  This module removes that redundancy from the
-simulator in two tiers while reproducing the reference loop's results
-exactly:
-
-**Tier A — signature grouping.**  Each warp's record stream is reduced
+memory lines they touch.  This module reduces each warp's record stream
 to a *signature* (``TraceRecord.static_issue_key`` plus the issue plan's
-per-record mode/extra).  All per-warp static analysis — latency class,
-energy events, dependency register indices, destination slots, skip
-runs, LSU occupancy — is computed once per distinct signature and shared
-by every warp in the group.  The cycle-level scheduler replay still
-simulates each warp individually and takes exactly the same decisions as
-:meth:`TimingSimulator.run_reference`, so cycles, instruction counters,
-cache statistics, and energy (same per-component float-addition
-sequence) are bit-identical.
+per-record mode/extra) and computes all per-warp static analysis —
+latency class, energy events, dependency register indices, destination
+slots, skip runs, LSU occupancy — once per distinct signature
+(:class:`_SigGroup`), shared by every warp in the group.
 
-**Tier B — SM cloning.**  SMs receive round-robin slices of the block
-list; on regular kernels those slices have identical signature
-sequences.  After the first SM of a signature is simulated (recording
-its memory accesses in issue order), later SMs with the same signature
-only *replay the memory accesses* against their fresh L1 and the real
-shared L2.  If every access resolves to the same L1/L2/DRAM outcome as
-the representative's, the SM's dynamics are provably identical and the
-recorded result deltas are committed without re-simulating — the L2
-content evolution is still exact because the replay performs the very
-accesses the full simulation would have.  On any outcome mismatch the L2
-is rolled back to a snapshot and the SM is simulated in full.
-
-Exactness conditions (see docs/PERFORMANCE.md): the fast path engages
-only for the GTO scheduler (round-robin falls back to the reference
-loop) and assumes pure :class:`IssuePolicy` hooks, which all in-repo
-policies are.  Cloned SMs report per-component energy subtotals instead
-of replaying each addition, so energy can differ from the reference by
-float-associativity ULPs when (and only when) a clone fires; every
-integer field is exact in all cases.
+:class:`_Prep` holds those tables for one trace, together with the
+per-block and per-SM signature keys that let the event-driven engine
+(:mod:`repro.sim.timing_fast`) clone SMs whose block slices are
+issue-equivalent.  :func:`prep_for` caches one :class:`_Prep` per
+trace, config and policy.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from itertools import repeat
+from typing import Dict, List, Tuple
 
-from .. import obs
-from .caches import Cache, MemoryHierarchy
-from .timing import IssueMode, TimingResult, _latency_of
+from .timing import IssueMode, _latency_of
 from .trace import BlockTrace
-
-_FAR = 1 << 60
 
 # Record kinds, mirroring the branch structure of
 # ``TimingSimulator._issue``.
@@ -309,8 +284,8 @@ class _Prep:
                     wsigs.append(self._group_ids[sig])
                     continue
                 plan = policy.plan_warp(block, warp)
+                base = getattr(warp, "sig_base", None)
                 if plan.modes is None and plan.extra_latency is None:
-                    base = getattr(warp, "sig_base", None)
                     if base is not None:
                         sig = simd_sigs.get(id(base))
                         if sig is None:
@@ -324,10 +299,19 @@ class _Prep:
                             for r in warp.records
                         )
                 else:
+                    # Zip the plan's lists with the record keys: no
+                    # per-record plan.mode()/plan.extra() calls.
+                    if base is None:
+                        base = [r.static_issue_key() for r in warp.records]
+                    modes = plan.modes
+                    extras = plan.extra_latency
                     sig = tuple(
-                        r.static_issue_key()
-                        + (int(plan.mode(i)), int(plan.extra(i)))
-                        for i, r in enumerate(warp.records)
+                        key + (int(m), int(x))
+                        for key, m, x in zip(
+                            base,
+                            repeat(0) if modes is None else modes,
+                            repeat(0) if extras is None else extras,
+                        )
                     )
                 grp = self._groups.get(sig)
                 if grp is None:
@@ -363,8 +347,9 @@ def prep_for(sim) -> _Prep:
     The tables in :class:`_Prep` depend only on the trace, the config's
     latency/energy/port parameters, and the issue policy's plans — not
     on which engine replays them — so one precompilation serves the
-    dedup, event-driven, and verify engines, and repeat replays of the
-    same trace (benchmarks, oracle cross-checks) skip it entirely.
+    cloning, exact, and verify runs of the event-driven engine, and
+    repeat replays of the same trace (benchmarks, oracle cross-checks)
+    skip it entirely.
 
     Entries match by object identity: same config object and same
     policy object, except that bare :class:`IssuePolicy` instances are
@@ -399,418 +384,3 @@ def prep_for(sim) -> _Prep:
     prep = _Prep(sim)
     entries.append((sim.config, policy, prep))
     return prep
-
-
-class _FW:
-    """Dynamic per-warp state (mirrors ``_WarpSim``)."""
-
-    __slots__ = (
-        "slot",
-        "fb",
-        "grp",
-        "recs",
-        "idx",
-        "reg",
-        "start",
-        "bu",
-        "at_bar",
-        "done",
-        "bseq",
-        "wpos",
-    )
-
-    def __init__(self, slot: int, fb: "_FB", grp: _SigGroup, recs,
-                 n_regs: int, bseq: int, wpos: int) -> None:
-        self.slot = slot
-        self.fb = fb
-        self.grp = grp
-        self.recs = recs
-        self.idx = 0
-        self.reg = [0] * n_regs
-        self.start = 0
-        self.bu = 0
-        self.at_bar = False
-        self.done = grp.n == 0
-        self.bseq = bseq
-        self.wpos = wpos
-
-
-class _FB:
-    """Dynamic per-block state (mirrors ``_BlockSim``)."""
-
-    __slots__ = ("warps", "barrier_count", "remaining")
-
-    def __init__(self) -> None:
-        self.warps: List[_FW] = []
-        self.barrier_count = 0
-        self.remaining = 0
-
-
-class _SMRecord:
-    """Everything needed to clone an SM without re-simulating it."""
-
-    __slots__ = (
-        "cycles",
-        "d_simd",
-        "d_scalar",
-        "d_skipped",
-        "d_threads",
-        "d_prologue",
-        "d_dram",
-        "l1_accesses",
-        "l1_hits",
-        "energy_subtotal",
-        "memlog",
-    )
-
-
-def _ready(w: _FW) -> int:
-    if w.at_bar:
-        return _FAR
-    i = w.idx
-    grp = w.grp
-    if i >= grp.n:
-        return _FAR
-    m = w.start if w.start > w.bu else w.bu
-    reg = w.reg
-    for s in grp.srcs[i]:
-        v = reg[s]
-        if v > m:
-            m = v
-    return m
-
-
-def _pick(lst: List[_FW], last: Optional[_FW], t: int,
-          want_scalar: bool) -> Optional[_FW]:
-    """GTO pick, replicating ``TimingSimulator._pick`` decisions."""
-    if (
-        last is not None
-        and not last.done
-        and not last.at_bar
-        and last.grp.next_scalar[last.idx] == want_scalar
-        and _ready(last) <= t
-    ):
-        return last
-    best = None
-    best_slot = _FAR
-    for w in lst:
-        if w.grp.next_scalar[w.idx] != want_scalar:
-            continue
-        if w.slot < best_slot and _ready(w) <= t:
-            best = w
-            best_slot = w.slot
-    return best
-
-
-def run_dedup(sim) -> Tuple[Optional[TimingResult], Optional[str]]:
-    """Fast equivalent of :meth:`TimingSimulator.run_reference`.
-
-    Returns ``(result, None)`` on success, or ``(None, reason)`` with
-    the actual decline-reason slug when the preconditions for an exact
-    fast replay are not met (the caller then falls through to the next
-    engine in the chain).
-    """
-    cfg = sim.config
-    if cfg.scheduler_policy != "gto":
-        return None, f"scheduler-{cfg.scheduler_policy}"
-
-    prep = prep_for(sim)
-    result = TimingResult()
-    blocks = sim.trace.blocks
-    n_sms = min(cfg.num_sms, max(1, len(blocks)))
-    result.sms_used = n_sms
-    per_sm: List[List[BlockTrace]] = [[] for _ in range(n_sms)]
-    for i, block in enumerate(blocks):
-        per_sm[i % n_sms].append(block)
-
-    sm_sigs = [
-        prep.sm_signature(sm_id, per_sm[sm_id]) for sm_id in range(n_sms)
-    ]
-    sig_counts: Dict[tuple, int] = {}
-    for sig in sm_sigs:
-        sig_counts[sig] = sig_counts.get(sig, 0) + 1
-
-    seen: Dict[tuple, _SMRecord] = {}
-    sm_cycles: List[int] = []
-    n_cloned = n_rejected = 0
-    for sm_id in range(n_sms):
-        sig = sm_sigs[sm_id]
-        rec = seen.get(sig)
-        if rec is not None:
-            if _try_clone(sim, rec, per_sm[sm_id], result):
-                n_cloned += 1
-                sm_cycles.append(rec.cycles)
-                continue
-            n_rejected += 1
-        record = sig_counts[sig] > 1
-        cycles, smrec = _run_sm_fast(
-            sim, prep, sm_id, per_sm[sm_id], result, record
-        )
-        if smrec is not None:
-            seen[sig] = smrec
-        sm_cycles.append(cycles)
-
-    kname = sim.kernel.name
-    obs.inc("dedup.runs", kernel=kname)
-    obs.inc("dedup.sms.simulated", n_sms - n_cloned, kernel=kname)
-    if n_cloned:
-        obs.inc("dedup.sms.cloned", n_cloned, kernel=kname)
-    if n_rejected:
-        obs.inc("dedup.clone_rejects", n_rejected, kernel=kname)
-    obs.inc(
-        "dedup.signatures", len(set(sm_sigs)), kernel=kname
-    )
-
-    result.cycles = max(sm_cycles) if sm_cycles else 0
-    result.l2 = sim.l2.stats
-    static = cfg.energy.static_pj_per_sm_cycle * result.cycles * n_sms
-    result.energy.add("static", static)
-    return result, None
-
-
-def _try_clone(sim, rec: _SMRecord, blocks: List[BlockTrace],
-               result: TimingResult) -> bool:
-    """Replay the representative's memory accesses for a candidate clone;
-    commit the recorded deltas if every outcome matches, else roll the L2
-    back and report failure."""
-    cfg = sim.config
-    l2 = sim.l2
-    snap = l2.snapshot() if rec.memlog else None
-    l1 = Cache(cfg.l1)
-    hierarchy = MemoryHierarchy(l1, l2, cfg.latency)
-    for bseq, wpos, ridx, want_l1, want_l2, want_dram, is_store in rec.memlog:
-        record = blocks[bseq].warps[wpos].records[ridx]
-        acc = hierarchy.access(record.lines, is_store=is_store)
-        if (
-            acc.l1_hits != want_l1
-            or acc.l2_hits != want_l2
-            or acc.dram_accesses != want_dram
-        ):
-            l2.restore(snap)
-            return False
-    result.issued_simd += rec.d_simd
-    result.issued_scalar += rec.d_scalar
-    result.skipped += rec.d_skipped
-    result.thread_ops += rec.d_threads
-    result.prologue_cycles += rec.d_prologue
-    result.dram_accesses += rec.d_dram
-    result.l1.accesses += rec.l1_accesses
-    result.l1.hits += rec.l1_hits
-    energy = result.energy
-    for key, pj in rec.energy_subtotal:
-        energy.add(key, pj)
-    return True
-
-
-def _run_sm_fast(
-    sim,
-    prep: _Prep,
-    sm_id: int,
-    blocks: List[BlockTrace],
-    result: TimingResult,
-    record: bool,
-) -> Tuple[int, Optional[_SMRecord]]:
-    if not blocks:
-        return 0, None
-    cfg = sim.config
-    policy = sim.policy
-    l1 = Cache(cfg.l1)
-    hierarchy = MemoryHierarchy(l1, sim.l2, cfg.latency)
-    resident = sim.resident_blocks_limit()
-    n_sched = cfg.num_schedulers
-    n_regs = prep.n_regs
-    do_scalar_pass = prep.any_scalar
-    e_l2_pj = cfg.energy.l2_access_pj
-    e_dram_pj = cfg.energy.dram_access_pj
-    evals = result.energy.values
-
-    if record:
-        pre_energy = dict(evals)
-        pre_simd = result.issued_simd
-        pre_scalar = result.issued_scalar
-        pre_skipped = result.skipped
-        pre_threads = result.thread_ops
-        pre_prologue = result.prologue_cycles
-        pre_dram = result.dram_accesses
-        memlog: Optional[list] = []
-    else:
-        memlog = None
-
-    prologue = policy.sm_prologue_cycles(sm_id)
-    result.prologue_cycles += prologue
-
-    pending = list(blocks)
-    scheds: List[List[_FW]] = [[] for _ in range(n_sched)]
-    slot_counter = 0
-    active_count = 0
-    nlive = 0
-    bseq_counter = 0
-
-    def activate_block(now: int) -> None:
-        nonlocal slot_counter, active_count, nlive, bseq_counter
-        block_trace = pending.pop(0)
-        bseq = bseq_counter
-        bseq_counter += 1
-        bprologue, groups = prep.block_info[id(block_trace)]
-        result.prologue_cycles += bprologue
-        start = now + bprologue
-        fb = _FB()
-        for wpos, wtrace in enumerate(block_trace.warps):
-            grp = groups[wpos]
-            fw = _FW(slot_counter, fb, grp, wtrace.records, n_regs,
-                     bseq, wpos)
-            fw.start = start
-            slot_counter += 1
-            # Leading skip run (mirrors _advance_skips at activation).
-            n_sk = grp.skip_count[0] if grp.n else 0
-            if n_sk:
-                reg = fw.reg
-                for dst in grp.skip_dsts[0]:
-                    reg[dst] = start
-                result.skipped += n_sk
-                fw.idx = grp.skip_next[0]
-                if fw.idx >= grp.n:
-                    fw.done = True
-            if not fw.done:
-                fb.warps.append(fw)
-                scheds[fw.slot % n_sched].append(fw)
-                nlive += 1
-        fb.remaining = len(fb.warps)
-        if fb.remaining:
-            active_count += 1
-
-    t = prologue
-    while pending and active_count < resident:
-        activate_block(t)
-    lsu_free = t
-    last_issued: List[Optional[_FW]] = [None] * n_sched
-
-    def finish(w: _FW, now: int) -> None:
-        nonlocal active_count, nlive
-        grp = w.grp
-        i = w.idx + 1
-        n_sk = grp.skip_count[i]
-        if n_sk:
-            t1 = now + 1
-            reg = w.reg
-            for dst in grp.skip_dsts[i]:
-                reg[dst] = t1
-            result.skipped += n_sk
-            i = grp.skip_next[i]
-        w.idx = i
-        if i >= grp.n:
-            w.done = True
-            scheds[w.slot % n_sched].remove(w)
-            nlive -= 1
-            fb = w.fb
-            fb.remaining -= 1
-            if fb.remaining == 0:
-                active_count -= 1
-                if pending:
-                    activate_block(now + 1)
-
-    def issue(w: _FW, now: int) -> None:
-        nonlocal lsu_free
-        grp = w.grp
-        i = w.idx
-        for key, pj in grp.eadds[i]:
-            evals[key] = evals.get(key, 0.0) + pj
-        kind = grp.kind[i]
-        if kind == _K_SCALAR:
-            result.issued_scalar += 1
-            result.thread_ops += 1
-            dst = grp.dst[i]
-            if dst >= 0:
-                w.reg[dst] = now + grp.lat[i] + grp.extra[i]
-            finish(w, now)
-            return
-        result.issued_simd += 1
-        result.thread_ops += grp.active[i]
-        if kind == _K_BARRIER:
-            fb = w.fb
-            fb.barrier_count += 1
-            if fb.barrier_count >= fb.remaining:
-                fb.barrier_count = 0
-                t1 = now + 1
-                for x in fb.warps:
-                    if not x.done:
-                        x.at_bar = False
-                        if x.bu < t1:
-                            x.bu = t1
-            else:
-                w.at_bar = True
-            finish(w, now)
-            return
-        if kind == _K_GMEM:
-            rec = w.recs[i]
-            start = now if now > lsu_free else lsu_free
-            lsu_free = start + grp.lsu_slots[i]
-            acc = hierarchy.access(rec.lines, is_store=grp.is_store[i])
-            completion = start + acc.latency + grp.extra[i]
-            result.dram_accesses += acc.dram_accesses
-            n_l2 = grp.n_lines[i] - acc.l1_hits
-            evals["l2"] = evals.get("l2", 0.0) + e_l2_pj * (
-                n_l2 if n_l2 > 0 else 0
-            )
-            evals["dram"] = (
-                evals.get("dram", 0.0) + e_dram_pj * acc.dram_accesses
-            )
-            if memlog is not None:
-                memlog.append((
-                    w.bseq, w.wpos, i, acc.l1_hits, acc.l2_hits,
-                    acc.dram_accesses, grp.is_store[i],
-                ))
-        else:  # _K_SMEM and _K_ALU share the static-latency shape
-            completion = now + grp.lat[i] + grp.extra[i]
-        dst = grp.dst[i]
-        if dst >= 0:
-            w.reg[dst] = completion
-        finish(w, now)
-
-    while nlive or pending:
-        issued_any = False
-        for sched in range(n_sched):
-            lst = scheds[sched]
-            if do_scalar_pass:
-                w = _pick(lst, last_issued[sched], t, True)
-                if w is not None:
-                    issue(w, t)
-                    issued_any = True
-            w = _pick(lst, last_issued[sched], t, False)
-            if w is not None:
-                issue(w, t)
-                last_issued[sched] = w
-                issued_any = True
-        if nlive == 0 and pending:
-            activate_block(t + 1)
-        if issued_any:
-            t += 1
-        elif nlive:
-            nxt = _FAR
-            for lst in scheds:
-                for w in lst:
-                    rt = _ready(w)
-                    if t < rt < nxt:
-                        nxt = rt
-            t = nxt if nxt < _FAR else t + 1
-    result.l1.merge(l1.stats)
-
-    smrec: Optional[_SMRecord] = None
-    if record:
-        smrec = _SMRecord()
-        smrec.cycles = t
-        smrec.d_simd = result.issued_simd - pre_simd
-        smrec.d_scalar = result.issued_scalar - pre_scalar
-        smrec.d_skipped = result.skipped - pre_skipped
-        smrec.d_threads = result.thread_ops - pre_threads
-        smrec.d_prologue = result.prologue_cycles - pre_prologue
-        smrec.d_dram = result.dram_accesses - pre_dram
-        smrec.l1_accesses = l1.stats.accesses
-        smrec.l1_hits = l1.stats.hits
-        smrec.energy_subtotal = tuple(
-            (key, pj - pre_energy.get(key, 0.0))
-            for key, pj in evals.items()
-            if pj != pre_energy.get(key, 0.0)
-        )
-        smrec.memlog = memlog
-    return t, smrec

@@ -75,11 +75,10 @@ class IssuePolicy:
     def plan_arrays(self) -> Optional[Tuple[List[int], List[int]]]:
         """Per-pc ``(modes, extra_latency)`` tables when — and only
         when — :meth:`plan_warp` is a pure function of each record's pc.
-        The signature pass shared by the dedup and event-driven engines
-        then composes plans per static pc instead of walking every
-        warp's records.  ``None`` (the default) means "no such tables";
-        policies whose plans depend on anything beyond the pc must not
-        override this."""
+        The event-driven engine's signature pass then composes plans
+        per static pc instead of walking every warp's records.  ``None``
+        (the default) means "no such tables"; policies whose plans
+        depend on anything beyond the pc must not override this."""
         return None
 
     def sm_prologue_cycles(self, sm_id: int) -> int:
@@ -275,7 +274,6 @@ class TimingSimulator:
         policy: Optional[IssuePolicy] = None,
         l2: Optional[Cache] = None,
         regs_per_thread: Optional[int] = None,
-        dedup: Optional[bool] = None,
         timing: Optional[str] = None,
     ) -> None:
         self.config = config
@@ -287,10 +285,6 @@ class TimingSimulator:
         if regs_per_thread is None:
             regs_per_thread = allocated_registers(self.kernel)
         self.regs_per_thread = regs_per_thread
-        if dedup is None:
-            env = os.environ.get("R2D2_SIM_DEDUP", "").strip().lower()
-            dedup = env not in ("0", "off", "false", "no")
-        self.dedup = dedup
         if timing is None:
             timing = timing_mode_from_env()
         elif timing not in ("fast", "reference", "verify"):
@@ -319,34 +313,17 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
     def run(self) -> TimingResult:
-        """Replay the trace through the engine chain: warp-dedup when
-        its exactness preconditions hold (see :mod:`repro.sim.dedup`),
-        else the event-driven engine (:mod:`repro.sim.timing_fast`,
+        """Replay the trace through the engine chain: the event-driven
+        engine with SM cloning (:mod:`repro.sim.timing_fast`,
         ``R2D2_TIMING=fast``, the default), else the reference loop.
-        ``R2D2_TIMING=verify`` bypasses dedup and runs fast *and*
-        reference, asserting bit-identical results."""
+        ``R2D2_TIMING=verify`` runs the event-driven engine with cloning
+        off *and* the reference loop, asserting bit-identical results."""
         kname = self.kernel.name
         if self.timing == "verify":
-            if self.dedup:
-                obs.decision(
-                    "dedup", "skip", kernel=kname, reason="timing-verify",
-                )
-            return self.run_verify()
-        if self.dedup:
-            from .dedup import run_dedup
-
-            result, decline = run_dedup(self)
-            if result is not None:
-                obs.inc("timing.engine", kernel=kname, engine="dedup")
-                return result
-            # The dedup engine declined (exactness preconditions not
-            # met) — make the fallback and its actual reason visible.
-            obs.inc("dedup.fallback", kernel=kname, reason=decline)
-            obs.decision("dedup", "skip", kernel=kname, reason=decline)
-        else:
             obs.decision(
-                "dedup", "skip", kernel=kname, reason="disabled",
+                "dedup", "skip", kernel=kname, reason="timing-verify",
             )
+            return self.run_verify()
         if self.timing == "fast":
             return self.run_fast()
         obs.inc("timing.engine", kernel=kname, engine="reference")
@@ -354,29 +331,28 @@ class TimingSimulator:
         return self.run_reference()
 
     # ------------------------------------------------------------------
-    def run_fast(self) -> TimingResult:
-        """Event-driven replay, bit-identical to :meth:`run_reference`
-        (enforced by ``R2D2_TIMING=verify``, the oracle, and the
+    def run_fast(self, clone: bool = True) -> TimingResult:
+        """Event-driven replay.  Every integer field and cache stat
+        equals :meth:`run_reference`; with ``clone=False`` energy floats
+        do too (enforced by ``R2D2_TIMING=verify``, the oracle, and the
         timing-verify CI job)."""
         from .timing_fast import run_fast
 
-        obs.inc(
-            "timing.engine", kernel=self.kernel.name, engine="fast"
-        )
+        kname = self.kernel.name
+        obs.inc("timing.engine", kernel=kname, engine="fast")
         obs.decision(
-            "timing", "engage", kernel=self.kernel.name,
-            reason="event-driven",
+            "timing", "engage", kernel=kname, reason="event-driven",
         )
-        return run_fast(self)
+        return run_fast(self, clone=clone)
 
     # ------------------------------------------------------------------
     def run_verify(self) -> TimingResult:
-        """Run the event-driven engine *and* the reference loop, assert
-        field-by-field equality (energy and cache stats included), and
-        return the reference result.  Raises
+        """Run the event-driven engine with cloning off *and* the
+        reference loop, assert field-by-field equality (energy and cache
+        stats included), and return the reference result.  Raises
         :class:`TimingVerifyMismatch` on any difference."""
         snap = self.l2.snapshot()
-        fast = self.run_fast()
+        fast = self.run_fast(clone=False)
         # ``result.l2`` aliases the shared L2's stats object, which the
         # rollback below mutates in place — copy before restoring.
         fast_l2 = CacheStats(fast.l2.accesses, fast.l2.hits)
@@ -393,8 +369,8 @@ class TimingSimulator:
 
     # ------------------------------------------------------------------
     def run_reference(self) -> TimingResult:
-        """Record-by-record reference replay (always exact; the dedup
-        fast path is validated against it)."""
+        """Record-by-record reference replay (always exact; the
+        event-driven engine is validated against it)."""
         result = TimingResult()
         cfg = self.config
         blocks = self.trace.blocks

@@ -1,20 +1,19 @@
 """Event-driven timing engine for :class:`~repro.sim.timing.TimingSimulator`.
 
-Bit-identical to :meth:`TimingSimulator.run_reference` — same cycles,
-instruction counters, cache statistics, and the same per-component
-float-addition sequence for energy — while removing the cycle-stepping
-cliff that makes divergent kernels (many distinct warp signatures, so
-the dedup engine's SM cloning never fires) dominate suite wall-clock.
-Three layers:
+Replays a kernel trace with the same decisions as
+:meth:`TimingSimulator.run_reference` — same cycles, instruction
+counters, cache statistics, and (without SM cloning) the same
+per-component float-addition sequence for energy — while skipping the
+reference loop's cycle-by-cycle polling.  Four layers:
 
-**Record-stream precompilation.**  The signature pass shared with the
-dedup engine (:class:`~repro.sim.dedup._Prep`) flattens each distinct
-warp stream into per-record tables — latency class, dense source/dest
-register slots, issue mode, extra latency, memory-line counts,
+**Record-stream precompilation.**  The signature pass
+(:class:`~repro.sim.dedup._Prep`) flattens each distinct warp stream
+into per-record tables — latency class, dense source/dest register
+slots, issue mode, extra latency, memory-line counts,
 bank-conflict-adjusted latencies, barrier flags, skip runs, and the
-exact energy additions — so the inner loop indexes integers instead of
-walking ``Instruction`` operands and calling ``source_regs()`` per
-issue.
+exact energy additions — shared by every warp with that signature, so
+the inner loop indexes integers instead of walking ``Instruction``
+operands and calling ``source_regs()`` per issue.
 
 **Event-driven scheduling.**  Each warp caches its scoreboard ready
 time (``_EW.rt``).  The scoreboard is strictly per-warp, so a cached
@@ -24,32 +23,51 @@ re-running every scheduler's pick scan each cycle, the main loop finds
 the two smallest ready times across the SM: if nothing is ready the
 clock jumps straight to the next event, and if exactly one warp is
 schedulable in an interval its run of consecutive dependency-satisfied
-non-memory records retires in a closed-form burst (:func:`_burst`)
+non-memory records retires in a closed-form burst (``burst``)
 without consulting the other schedulers at all.  Bursts preserve the
 reference's issue order (and therefore its energy float-addition order)
 because the bursting warp is, by construction, the only warp the
 reference could have issued in that interval.
+
+**SM cloning.**  SMs receive round-robin slices of the block list; on
+regular kernels those slices have identical signature sequences
+(:meth:`_Prep.sm_signature`).  The first SM of a repeated signature is
+simulated with recording on: every global-memory access is logged in
+issue order with its L1/L2/DRAM outcome, together with the SM's counter
+deltas and per-component energy subtotal (:class:`_SMRecord`).  A later
+SM with the same signature only *replays the logged accesses* against a
+fresh L1 and the real shared L2 (:func:`_try_clone`).  If every access
+resolves to the recorded outcome, the SM's dynamics are provably
+identical and the recorded deltas are committed without simulating it —
+the L2 content still evolves exactly, because the replay performs the
+very accesses the full simulation would have.  On any mismatch the L2
+is rolled back to a snapshot and the SM is simulated in full.
 
 **Array-backed cache model.**  ``sim/caches.py`` stores tags and LRU
 stamps in numpy arrays, so a multi-line record that hits entirely in L1
 is answered by one vectorized probe (``MemoryHierarchy.access``) rather
 than a per-line Python loop.
 
-Exactness has no preconditions: both scheduler policies (GTO and
-round-robin), all issue modes, barriers, and multi-SM distributions are
-replicated decision-for-decision.  The engine is selected with
-``R2D2_TIMING={fast,reference,verify}`` (see
-:meth:`TimingSimulator.run`); ``verify`` runs this engine *and* the
-reference loop and asserts equality field by field.
+Exactness: both scheduler policies (GTO and round-robin), all issue
+modes, barriers, and multi-SM distributions are replicated
+decision-for-decision, so every integer field and both cache stat pairs
+always equal the reference loop's.  Cloning engages only under GTO and
+assumes pure :class:`IssuePolicy` hooks (all in-repo policies are).  A
+cloned SM adds its energy as per-component subtotals rather than
+replaying each addition, so energy may differ from the reference loop
+by float-associativity ULPs when (and only when) a clone fires.
+``run_fast(sim, clone=False)`` is the exact path — energy floats
+included — that ``R2D2_TIMING=verify`` and the differential oracle
+check field by field against the reference loop.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
+from .. import obs
 from .caches import Cache, MemoryHierarchy
 from .dedup import (
-    _FAR,
     _K_BARRIER,
     _K_GMEM,
     _K_SCALAR,
@@ -59,6 +77,8 @@ from .dedup import (
 )
 from .timing import TimingResult
 from .trace import BlockTrace
+
+_FAR = 1 << 60
 
 
 class _EW:
@@ -79,10 +99,12 @@ class _EW:
         "done",
         "rt",
         "nsc",
+        "bseq",
+        "wpos",
     )
 
     def __init__(self, slot: int, fb: "_EB", grp: _SigGroup, recs,
-                 n_regs: int) -> None:
+                 n_regs: int, bseq: int, wpos: int) -> None:
         self.slot = slot
         self.fb = fb
         self.grp = grp
@@ -95,6 +117,10 @@ class _EW:
         self.done = grp.n == 0
         self.rt = 0
         self.nsc = False
+        #: block sequence number on this SM and warp position in the
+        #: block: the memlog's address of a recorded access.
+        self.bseq = bseq
+        self.wpos = wpos
 
 
 class _EB:
@@ -127,8 +153,31 @@ def _refresh(w: _EW) -> None:
     w.nsc = grp.next_scalar[i]
 
 
-def run_fast(sim) -> TimingResult:
-    """Event-driven equivalent of :meth:`TimingSimulator.run_reference`."""
+class _SMRecord:
+    """Everything needed to clone an SM without re-simulating it."""
+
+    __slots__ = (
+        "cycles",
+        "d_simd",
+        "d_scalar",
+        "d_skipped",
+        "d_threads",
+        "d_prologue",
+        "d_dram",
+        "l1_accesses",
+        "l1_hits",
+        "energy_subtotal",
+        "memlog",
+    )
+
+
+def run_fast(sim, clone: bool = True) -> TimingResult:
+    """Event-driven equivalent of :meth:`TimingSimulator.run_reference`.
+
+    With ``clone``, SMs whose signature repeats an earlier SM's are
+    cloned from its recorded result when their memory accesses replay to
+    the same outcomes (:func:`_try_clone`).  Cloning engages only under
+    GTO; a decline lands on ``dedup.fallback{reason}``."""
     prep = prep_for(sim)
     result = TimingResult()
     cfg = sim.config
@@ -139,15 +188,90 @@ def run_fast(sim) -> TimingResult:
     for i, block in enumerate(blocks):
         per_sm[i % n_sms].append(block)
 
-    sm_cycles = [
-        _run_sm(sim, prep, sm_id, per_sm[sm_id], result)
-        for sm_id in range(n_sms)
-    ]
+    kname = sim.kernel.name
+    if clone and cfg.scheduler_policy != "gto":
+        reason = f"scheduler-{cfg.scheduler_policy}"
+        obs.inc("dedup.fallback", kernel=kname, reason=reason)
+        obs.decision("dedup", "skip", kernel=kname, reason=reason)
+        clone = False
+    if clone:
+        sm_sigs = [
+            prep.sm_signature(sm_id, per_sm[sm_id])
+            for sm_id in range(n_sms)
+        ]
+        sig_counts: Dict[tuple, int] = {}
+        for sig in sm_sigs:
+            sig_counts[sig] = sig_counts.get(sig, 0) + 1
+    seen: Dict[tuple, _SMRecord] = {}
+    sm_cycles: List[int] = []
+    n_cloned = n_rejected = 0
+    for sm_id in range(n_sms):
+        record = False
+        if clone:
+            sig = sm_sigs[sm_id]
+            rec = seen.get(sig)
+            if rec is not None:
+                if _try_clone(sim, rec, per_sm[sm_id], result):
+                    n_cloned += 1
+                    sm_cycles.append(rec.cycles)
+                    continue
+                n_rejected += 1
+            record = sig_counts[sig] > 1
+        cycles, smrec = _run_sm(
+            sim, prep, sm_id, per_sm[sm_id], result, record
+        )
+        if smrec is not None:
+            seen[sig] = smrec
+        sm_cycles.append(cycles)
+
+    if clone:
+        obs.inc("dedup.runs", kernel=kname)
+        obs.inc("dedup.sms.simulated", n_sms - n_cloned, kernel=kname)
+        if n_cloned:
+            obs.inc("dedup.sms.cloned", n_cloned, kernel=kname)
+        if n_rejected:
+            obs.inc("dedup.clone_rejects", n_rejected, kernel=kname)
+        obs.inc("dedup.signatures", len(sig_counts), kernel=kname)
+
     result.cycles = max(sm_cycles) if sm_cycles else 0
     result.l2 = sim.l2.stats
     static = cfg.energy.static_pj_per_sm_cycle * result.cycles * n_sms
     result.energy.add("static", static)
     return result
+
+
+def _try_clone(sim, rec: _SMRecord, blocks: List[BlockTrace],
+               result: TimingResult) -> bool:
+    """Replay the representative's memory accesses for a candidate clone;
+    commit the recorded deltas if every outcome matches, else roll the L2
+    back and report failure."""
+    cfg = sim.config
+    l2 = sim.l2
+    snap = l2.snapshot() if rec.memlog else None
+    l1 = Cache(cfg.l1)
+    hierarchy = MemoryHierarchy(l1, l2, cfg.latency)
+    for bseq, wpos, ridx, want_l1, want_l2, want_dram, is_store in rec.memlog:
+        record = blocks[bseq].warps[wpos].records[ridx]
+        acc = hierarchy.access(record.lines, is_store=is_store)
+        if (
+            acc.l1_hits != want_l1
+            or acc.l2_hits != want_l2
+            or acc.dram_accesses != want_dram
+        ):
+            l2.restore(snap)
+            return False
+    result.issued_simd += rec.d_simd
+    result.issued_scalar += rec.d_scalar
+    result.skipped += rec.d_skipped
+    result.thread_ops += rec.d_threads
+    result.prologue_cycles += rec.d_prologue
+    result.dram_accesses += rec.d_dram
+    result.l1.accesses += rec.l1_accesses
+    result.l1.hits += rec.l1_hits
+    energy = result.energy
+    for key, pj in rec.energy_subtotal:
+        energy.add(key, pj)
+    return True
 
 
 def _run_sm(
@@ -156,9 +280,12 @@ def _run_sm(
     sm_id: int,
     blocks: List[BlockTrace],
     result: TimingResult,
-) -> int:
+    record: bool = False,
+) -> Tuple[int, Optional[_SMRecord]]:
+    """Simulate one SM; with ``record``, also return the
+    :class:`_SMRecord` that lets later same-signature SMs clone it."""
     if not blocks:
-        return 0
+        return 0, None
     cfg = sim.config
     policy = sim.policy
     l1 = Cache(cfg.l1)
@@ -172,6 +299,18 @@ def _run_sm(
     e_dram_pj = cfg.energy.dram_access_pj
     evals = result.energy.values
 
+    if record:
+        pre_energy = dict(evals)
+        pre_simd = result.issued_simd
+        pre_scalar = result.issued_scalar
+        pre_skipped = result.skipped
+        pre_threads = result.thread_ops
+        pre_prologue = result.prologue_cycles
+        pre_dram = result.dram_accesses
+        memlog: Optional[list] = []
+    else:
+        memlog = None
+
     prologue = policy.sm_prologue_cycles(sm_id)
     result.prologue_cycles += prologue
 
@@ -183,6 +322,7 @@ def _run_sm(
 
     def activate_block(now: int) -> None:
         nonlocal slot_counter, active_count, nlive
+        bseq = len(blocks) - len(pending)
         block_trace = pending.pop(0)
         bprologue, groups = prep.block_info[id(block_trace)]
         result.prologue_cycles += bprologue
@@ -190,7 +330,8 @@ def _run_sm(
         fb = _EB()
         for wpos, wtrace in enumerate(block_trace.warps):
             grp = groups[wpos]
-            ew = _EW(slot_counter, fb, grp, wtrace.records, n_regs)
+            ew = _EW(slot_counter, fb, grp, wtrace.records, n_regs,
+                     bseq, wpos)
             ew.start = start
             slot_counter += 1
             # Leading skip run (mirrors _advance_skips at activation).
@@ -295,6 +436,11 @@ def _run_sm(
             evals["dram"] = (
                 evals.get("dram", 0.0) + e_dram_pj * acc.dram_accesses
             )
+            if memlog is not None:
+                memlog.append((
+                    w.bseq, w.wpos, i, acc.l1_hits, acc.l2_hits,
+                    acc.dram_accesses, grp.is_store[i],
+                ))
         else:  # _K_SMEM and _K_ALU share the static-latency shape
             completion = now + grp.lat[i] + grp.extra[i]
         dst = grp.dst[i]
@@ -485,4 +631,23 @@ def _run_sm(
                         nxt = rt
             t = nxt if nxt < _FAR else t + 1
     result.l1.merge(l1.stats)
-    return t
+
+    if not record:
+        return t, None
+    smrec = _SMRecord()
+    smrec.cycles = t
+    smrec.d_simd = result.issued_simd - pre_simd
+    smrec.d_scalar = result.issued_scalar - pre_scalar
+    smrec.d_skipped = result.skipped - pre_skipped
+    smrec.d_threads = result.thread_ops - pre_threads
+    smrec.d_prologue = result.prologue_cycles - pre_prologue
+    smrec.d_dram = result.dram_accesses - pre_dram
+    smrec.l1_accesses = l1.stats.accesses
+    smrec.l1_hits = l1.stats.hits
+    smrec.energy_subtotal = tuple(
+        (key, pj - pre_energy.get(key, 0.0))
+        for key, pj in evals.items()
+        if pj != pre_energy.get(key, 0.0)
+    )
+    smrec.memlog = memlog
+    return t, smrec

@@ -97,16 +97,24 @@ class SSSPWorkload(Workload):
         assert (got >= exact).all(), "beats true shortest path"
 
     def _bellman_ford(self, rounds: int):
-        dist = np.full(self.n, np.int64(INF))
+        """Distances after ``rounds`` synchronous relaxation rounds: each
+        round relaxes every edge out of a reachable vertex against the
+        previous round's snapshot.  Stops early once a round changes
+        nothing (every later round would repeat it)."""
+        n = self.n
+        row_ptr = self.row_ptr
+        lo, hi = int(row_ptr[0]), int(row_ptr[n])
+        src = np.repeat(np.arange(n), np.diff(row_ptr))
+        dst = self.col_idx[lo:hi]
+        weights = self.weights[lo:hi].astype(np.int64)
+        dist = np.full(n, np.int64(INF))
         dist[0] = 0
         for _ in range(rounds):
-            snapshot = dist.copy()
-            for u in range(self.n):
-                if snapshot[u] >= INF:
-                    continue
-                for e in range(self.row_ptr[u], self.row_ptr[u + 1]):
-                    v = self.col_idx[e]
-                    cand = snapshot[u] + self.weights[e]
-                    if cand < dist[v]:
-                        dist[v] = cand
+            du = dist[src]
+            live = du < INF
+            relaxed = dist.copy()
+            np.minimum.at(relaxed, dst[live], du[live] + weights[live])
+            if np.array_equal(relaxed, dist):
+                break
+            dist = relaxed
         return dist

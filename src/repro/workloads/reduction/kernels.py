@@ -9,7 +9,8 @@ the regimes where R2D2's linearity analysis degrades step by step.
 Every kernel computes per-block partial sums of an int32 array: block
 ``c`` writes ``sum(input[slice_c])`` to ``g_odata[c]``.  Summation is
 integer, so results are bit-exact in any association order and the
-serial/vector/dedup engines can be compared bit-for-bit.
+serial/vector engines and the timing engines can be compared
+bit-for-bit.
 
 ``block`` (threads per block) is a build-time parameter: the warp-unroll
 and full-unroll variants specialize the tree on it, and all variants use

@@ -225,8 +225,8 @@ class TestCommitPath:
 
     def test_timing_replay_agrees_on_synthesized_trace(self):
         trace, _ = _run(_vadd_kernel(), "1")
-        fast = TimingSimulator(tiny(), trace, dedup=True).run()
-        ref = TimingSimulator(tiny(), trace, dedup=False).run()
+        fast = TimingSimulator(tiny(), trace, timing="fast").run()
+        ref = TimingSimulator(tiny(), trace, timing="reference").run()
         assert fast.cycles == ref.cycles
         assert fast.issued_total == ref.issued_total
 
